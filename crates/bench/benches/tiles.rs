@@ -20,10 +20,10 @@ use std::time::Instant;
 
 use clue_bench::{banner, scale};
 use clue_compress::{CompressedFib, TableDiff};
+use clue_core::tile::{TileConfig, TileSet};
 use clue_core::{build_plane, BackendKind, LookupPlane};
 use clue_fib::gen::FibGen;
 use clue_fib::Route;
-use clue_tile::{TileConfig, TileSet};
 use clue_traffic::{PacketGen, UpdateGen};
 
 /// Base table size; the sweep runs 1×, 5×, and 10× of this.

@@ -11,6 +11,10 @@
 //!   [`LookupPlane`](lookup::LookupPlane) trait with the cycle-cost
 //!   TCAM sim, a flattened 16/8/8 multibit trie, and an entropy-style
 //!   interval-compressed FIB behind one interface.
+//! * [`tile`] — the tiled TCAM scale-out behind the same trait:
+//!   fixed-size tiles over the compressed table, a two-level lookup,
+//!   and an incremental split/merge maintainer for multi-million-prefix
+//!   tables.
 //! * [`update_pipeline`] — the whole incremental update path with TTF
 //!   accounting (trie → TCAM → DRed), for both CLUE and CLPL.
 //! * [`theory`] — the Section III-D lower bound `t = (N−1)h + 1`.
@@ -50,14 +54,12 @@ pub mod metrics;
 pub mod reorder;
 pub mod theory;
 pub mod threads;
+pub mod tile;
 pub mod update_pipeline;
 
 pub use dred::{DredConfig, RedundancyScheme, SchemeStats};
 pub use engine::{balanced_mapping, Engine, EngineConfig, EngineReport, Outcome};
-pub use lookup::{
-    backend_available, build_plane, plane_from_table, register_tiled_builder, try_build_plane,
-    BackendKind, LookupPlane, PlaneBuilder,
-};
+pub use lookup::{build_plane, plane_from_table, BackendKind, LookupPlane};
 pub use reorder::ReorderBuffer;
 pub use theory::{implied_hit_rate, required_hit_rate, worst_case_speedup};
 pub use threads::{run_threaded, ThreadedConfig, ThreadedReport};

@@ -1,4 +1,4 @@
-//! The multi-backend lookup data plane: one trait, three engines.
+//! The multi-backend lookup data plane: one trait, four engines.
 //!
 //! Everything that answers "which route matches this address?" at
 //! packet rate sits behind [`LookupPlane`]. The router's epoch
@@ -7,7 +7,8 @@
 //! never sees an in-place mutation — it is built once from a route
 //! snapshot and read concurrently until the epoch is retired.
 //!
-//! Three implementations, selectable by [`BackendKind`]:
+//! Four implementations, selectable by [`BackendKind`] and built by
+//! [`build_plane`]:
 //!
 //! * [`TcamPlane`] — the paper's cycle-cost TCAM simulator
 //!   ([`clue_tcam::SlotArray`]) moved behind the trait, behavior
@@ -24,17 +25,22 @@
 //!   disjoint address intervals, adjacent intervals with equal labels
 //!   are merged, and the per-interval labels are dictionary-coded and
 //!   bit-packed to ⌈log2(distinct labels)⌉ bits each.
+//! * [`TiledPlane`] — the MashUp-style tiled TCAM scale-out (see
+//!   [`crate::tile`]): fixed-size tiles of the flattened LPM function
+//!   behind a two-level index, maintained incrementally by a
+//!   [`TileSet`](crate::tile::TileSet).
 //!
-//! All three resolve the *matched route* (prefix and next hop), not
+//! All four resolve the *matched route* (prefix and next hop), not
 //! just the next hop — the router's DRed fill path caches the route so
 //! the update plane's delete-if-present flush stays coherent.
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 use clue_fib::{mask, NextHop, Prefix, Route, RouteTable, Trie};
 use clue_tcam::SlotArray;
+
+use crate::tile::{TileConfig, TiledPlane};
 
 /// Which lookup backend a router (or bench, or check) runs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,8 +52,7 @@ pub enum BackendKind {
     Trie,
     /// The entropy-style interval-compressed FIB.
     Cfib,
-    /// The tiled TCAM scale-out plane (provided by `clue-tile`; its
-    /// builder arrives through [`register_tiled_builder`]).
+    /// The tiled TCAM scale-out plane ([`TiledPlane`]).
     Tiled,
 }
 
@@ -152,58 +157,20 @@ pub trait LookupPlane: fmt::Debug + Send + Sync {
     }
 }
 
-/// A registered out-of-crate plane constructor (see
-/// [`register_tiled_builder`]).
-pub type PlaneBuilder = fn(&[Route]) -> Box<dyn LookupPlane>;
-
-/// The `tiled` backend's builder, installed by `clue_tile::install()`.
-///
-/// `clue-core` defines the [`BackendKind::Tiled`] name so every layer
-/// (CLI parsing, the oracle's conformance matrix, epoch publication)
-/// can route on it, but the implementation lives upstream in
-/// `crates/tile` — which depends on this crate and therefore cannot be
-/// linked from here. The builder is injected instead.
-static TILED_BUILDER: OnceLock<PlaneBuilder> = OnceLock::new();
-
-/// Registers the `tiled` plane constructor. Idempotent; the first
-/// registration wins (all callers register the same function).
-pub fn register_tiled_builder(builder: PlaneBuilder) {
-    let _ = TILED_BUILDER.set(builder);
-}
-
-/// Whether `kind` can be built in this process (always true for the
-/// in-crate backends; true for `tiled` once `clue_tile::install()` has
-/// run).
-#[must_use]
-pub fn backend_available(kind: BackendKind) -> bool {
-    kind != BackendKind::Tiled || TILED_BUILDER.get().is_some()
-}
-
 /// Builds the backend of `kind` over a route snapshot.
 ///
 /// # Panics
 ///
 /// Panics if `routes` contains duplicate prefixes (a route *set* is
-/// required; next-hop collisions on distinct prefixes are fine), or if
-/// `kind` is [`BackendKind::Tiled`] and no builder was registered —
-/// call `clue_tile::install()` first (the router, oracle, and CLI
-/// entry points all do).
+/// required; next-hop collisions on distinct prefixes are fine).
 #[must_use]
 pub fn build_plane(kind: BackendKind, routes: &[Route]) -> Box<dyn LookupPlane> {
-    try_build_plane(kind, routes)
-        .unwrap_or_else(|| panic!("backend {kind} not registered (call clue_tile::install())"))
-}
-
-/// Builds the backend of `kind`, or `None` if `kind` is a registered
-/// backend whose builder has not been installed in this process.
-#[must_use]
-pub fn try_build_plane(kind: BackendKind, routes: &[Route]) -> Option<Box<dyn LookupPlane>> {
-    Some(match kind {
+    match kind {
         BackendKind::Tcam => Box::new(TcamPlane::build(routes)),
         BackendKind::Trie => Box::new(TriePlane::build(routes)),
         BackendKind::Cfib => Box::new(CfibPlane::build(routes)),
-        BackendKind::Tiled => TILED_BUILDER.get()?(routes),
-    })
+        BackendKind::Tiled => Box::new(TiledPlane::build(TileConfig::default(), routes)),
+    }
 }
 
 /// Builds the backend of `kind` over a whole table.
@@ -557,11 +524,9 @@ mod tests {
     }
 
     fn assert_all_agree(routes: &[Route]) {
-        // `tiled` is registered by clue-tile's install(); in clue-core's
-        // own test binary it is absent and skipped.
         let planes: Vec<Box<dyn LookupPlane>> = BackendKind::ALL
             .iter()
-            .filter_map(|&k| try_build_plane(k, routes))
+            .map(|&k| build_plane(k, routes))
             .collect();
         for addr in probe_addrs(routes) {
             let want = flat_lpm(routes, addr);
@@ -588,23 +553,11 @@ mod tests {
     #[test]
     fn empty_plane_answers_none() {
         for kind in BackendKind::ALL {
-            let Some(plane) = try_build_plane(kind, &[]) else {
-                continue;
-            };
+            let plane = build_plane(kind, &[]);
             assert!(plane.is_empty());
             for addr in [0u32, 1, 0xDEAD_BEEF, u32::MAX] {
                 assert_eq!(plane.lookup(addr), None, "{kind}");
             }
-        }
-    }
-
-    #[test]
-    fn unregistered_tiled_reports_unavailable() {
-        // No clue-tile in this binary, so the registry slot is empty.
-        assert!(backend_available(BackendKind::Tcam));
-        if TILED_BUILDER.get().is_none() {
-            assert!(!backend_available(BackendKind::Tiled));
-            assert!(try_build_plane(BackendKind::Tiled, &[]).is_none());
         }
     }
 
@@ -645,7 +598,7 @@ mod tests {
         let reference = table.to_trie();
         let planes: Vec<Box<dyn LookupPlane>> = BackendKind::ALL
             .iter()
-            .filter_map(|&k| try_build_plane(k, &routes))
+            .map(|&k| build_plane(k, &routes))
             .collect();
         let mut addr = 0x0137_9B51u32;
         for _ in 0..20_000 {

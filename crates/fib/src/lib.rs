@@ -36,5 +36,5 @@ mod route;
 mod trie;
 
 pub use prefix::{mask, Bit, NextHop, ParsePrefixError, Prefix, MAX_LEN};
-pub use route::{ParseRouteError, Route, RouteTable, Update};
+pub use route::{ParseRouteError, Route, RouteSet, RouteTable, Update};
 pub use trie::{Iter, NodeRef, Trie};

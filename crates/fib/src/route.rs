@@ -190,6 +190,26 @@ impl RouteTable {
     }
 }
 
+/// Exact-prefix queries over a route set, answered by both the flat
+/// [`RouteTable`] and the [`Trie`] form of it, so code that only asks
+/// "what does `prefix` map to?" can take either.
+pub trait RouteSet {
+    /// The next hop stored for exactly `prefix`.
+    fn next_hop_of(&self, prefix: Prefix) -> Option<NextHop>;
+}
+
+impl RouteSet for RouteTable {
+    fn next_hop_of(&self, prefix: Prefix) -> Option<NextHop> {
+        self.get(prefix)
+    }
+}
+
+impl RouteSet for Trie<NextHop> {
+    fn next_hop_of(&self, prefix: Prefix) -> Option<NextHop> {
+        self.get(prefix).copied()
+    }
+}
+
 impl FromIterator<(Prefix, NextHop)> for RouteTable {
     fn from_iter<I: IntoIterator<Item = (Prefix, NextHop)>>(iter: I) -> Self {
         RouteTable {

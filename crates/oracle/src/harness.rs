@@ -414,9 +414,6 @@ pub fn check_trace(
     trace: &[Update],
     cfg: &CheckConfig,
 ) -> Result<SequentialOutcome, Divergence> {
-    // The probe loop below compiles every BackendKind, including the
-    // registry-injected tiled plane.
-    clue_tile::install();
     let mut oracle = Oracle::new(table);
     let headroom = table.len() + trace.len() + 64;
     let mut pipeline = CluePipeline::new(table, cfg.chips, cfg.dred_capacity, headroom);

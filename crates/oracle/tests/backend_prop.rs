@@ -74,7 +74,6 @@ fn boundary_probes(table: &RouteTable) -> Vec<u32> {
 }
 
 fn planes_over(routes: &[Route]) -> Vec<Box<dyn LookupPlane>> {
-    clue_tile::install();
     BackendKind::ALL
         .iter()
         .map(|&k| build_plane(k, routes))

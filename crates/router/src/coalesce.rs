@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use clue_fib::{Prefix, RouteTable, Update};
+use clue_fib::{Prefix, RouteSet, Update};
 
 /// The result of coalescing one raw batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,10 @@ impl CoalescedBatch {
 }
 
 /// Coalesces `batch` against the table state `pre` that held before the
-/// batch (the update plane's mirror of the *original* routing table).
+/// batch: the *original* routing table, as a [`RouteTable`] or as the
+/// trie `CompressedFib` keeps.
+///
+/// [`RouteTable`]: clue_fib::RouteTable
 ///
 /// Correctness argument, per prefix `p` (operations on distinct
 /// prefixes commute on the final table state, so prefixes can be
@@ -74,7 +77,7 @@ impl CoalescedBatch {
 ///   `pre`-absent prefix (absent → absent) or an announce of the
 ///   next hop `p` already maps to (unchanged → unchanged).
 #[must_use]
-pub fn coalesce(batch: &[Update], pre: &RouteTable) -> CoalescedBatch {
+pub fn coalesce(batch: &[Update], pre: &impl RouteSet) -> CoalescedBatch {
     // Last operation per prefix, remembering first-touch order.
     let mut order: Vec<Prefix> = Vec::new();
     let mut last: HashMap<Prefix, Update> = HashMap::with_capacity(batch.len());
@@ -92,14 +95,14 @@ pub fn coalesce(batch: &[Update], pre: &RouteTable) -> CoalescedBatch {
         let u = last[&p];
         match u {
             Update::Withdraw { prefix } => {
-                if pre.contains(prefix) {
+                if pre.next_hop_of(prefix).is_some() {
                     ops.push(u);
                 } else {
                     cancelled += 1;
                 }
             }
             Update::Announce { prefix, next_hop } => {
-                if pre.get(prefix) == Some(next_hop) {
+                if pre.next_hop_of(prefix) == Some(next_hop) {
                     elided += 1;
                 } else {
                     ops.push(u);
@@ -119,7 +122,7 @@ pub fn coalesce(batch: &[Update], pre: &RouteTable) -> CoalescedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clue_fib::NextHop;
+    use clue_fib::{NextHop, RouteTable};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -232,5 +235,20 @@ mod tests {
         let a: Vec<_> = seq.iter().collect();
         let b: Vec<_> = coal.iter().collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn trie_and_table_pre_states_coalesce_alike() {
+        let mut pre = RouteTable::new();
+        pre.insert(p("10.0.0.0/8"), NextHop(1));
+        pre.insert(p("10.1.0.0/16"), NextHop(2));
+        let batch = [
+            announce("10.0.0.0/8", 1), // no-op
+            withdraw("10.1.0.0/16"),   // present
+            announce("20.0.0.0/8", 3), // flap: cancels
+            withdraw("20.0.0.0/8"),
+            announce("10.1.0.0/16", 4), // supersedes the withdraw
+        ];
+        assert_eq!(coalesce(&batch, &pre.to_trie()), coalesce(&batch, &pre));
     }
 }

@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clue_core::lookup::{build_plane, BackendKind, LookupPlane};
+use clue_core::tile::TileSet;
 use clue_fib::{Route, RouteTable};
 use clue_partition::{Indexer, RangeIndex};
-use clue_tile::TileSet;
 use parking_lot::Mutex;
 
 /// One immutable generation of the lookup plane's view.
@@ -69,9 +69,6 @@ impl EpochState {
         workers: usize,
         backend: BackendKind,
     ) -> Self {
-        // The tiled backend's builder lives upstream of clue-core; make
-        // sure it is registered before any build_plane(Tiled) below.
-        clue_tile::install();
         assert_eq!(
             index.bucket_count(),
             workers,
@@ -112,7 +109,6 @@ impl EpochState {
     /// Panics if `workers` disagrees with `index.bucket_count()`.
     #[must_use]
     pub fn from_tileset(epoch: u64, set: &TileSet, index: &RangeIndex, workers: usize) -> Self {
-        clue_tile::install();
         assert_eq!(
             index.bucket_count(),
             workers,
@@ -278,7 +274,7 @@ mod tests {
         let t = disjoint_table(64);
         let index = EvenRangePartition::split(&t, 4).index().clone();
         let routes: Vec<Route> = t.iter().collect();
-        let set = clue_tile::TileSet::build(clue_tile::TileConfig::with_capacity(16), &routes);
+        let set = TileSet::build(clue_core::tile::TileConfig::with_capacity(16), &routes);
         let inc = EpochState::from_tileset(1, &set, &index, 4);
         let full = EpochState::build(1, &t, &index, 4, BackendKind::Tiled);
         assert_eq!(inc.backend, BackendKind::Tiled);

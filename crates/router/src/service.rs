@@ -27,11 +27,11 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 
 use clue_cache::LruPrefixCache;
+use clue_core::tile::{TileConfig, TileSet};
 use clue_core::update_pipeline::CluePipeline;
 use clue_core::BackendKind;
 use clue_fib::{NextHop, Route, RouteTable, Update};
 use clue_partition::{EvenRangePartition, Indexer, RangeIndex};
-use clue_tile::{TileConfig, TileSet};
 
 use crate::coalesce::coalesce;
 use crate::epoch::{EpochCell, EpochState};
@@ -107,13 +107,6 @@ struct LookupRequest {
     reply: Sender<Vec<Option<NextHop>>>,
 }
 
-/// What the update thread hands back when it drains out.
-pub(crate) struct UpdateOutcome {
-    pub(crate) final_table: RouteTable,
-    pub(crate) final_compressed: RouteTable,
-    pub(crate) dynamic_redundancy: u64,
-}
-
 /// Outcome of submitting one update to the bounded ingress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitOutcome {
@@ -135,7 +128,8 @@ pub struct RouterService {
     stop_printer: Arc<AtomicBool>,
     dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    update_thread: Option<JoinHandle<UpdateOutcome>>,
+    /// Hands the pipeline back when it drains out.
+    update_thread: Option<JoinHandle<CluePipeline>>,
     printer: Option<JoinHandle<()>>,
     journal_active: bool,
 }
@@ -302,11 +296,9 @@ impl RouterService {
             let shared = Arc::clone(&shared);
             let index = index.clone();
             let cfg = *cfg;
-            let mut mirror = table.clone();
             std::thread::spawn(move || {
                 update_loop(
                     &mut pipeline,
-                    &mut mirror,
                     &ingress_rx,
                     &shared,
                     &index,
@@ -318,11 +310,7 @@ impl RouterService {
                         seq_hw: seq_hw0,
                     },
                 );
-                UpdateOutcome {
-                    final_table: mirror,
-                    final_compressed: pipeline.fib().compressed_table(),
-                    dynamic_redundancy: shared.epochs.load().replicated,
-                }
+                pipeline
             })
         };
 
@@ -463,7 +451,7 @@ impl RouterService {
         for w in self.workers.drain(..) {
             w.join().expect("worker exits cleanly");
         }
-        let outcome = self
+        let pipeline = self
             .update_thread
             .take()
             .expect("drained once")
@@ -476,9 +464,9 @@ impl RouterService {
         RouterReport {
             snapshot: self.shared.stats.snapshot(),
             results: Vec::new(),
-            final_table: outcome.final_table,
-            final_compressed: outcome.final_compressed,
-            dynamic_redundancy: outcome.dynamic_redundancy,
+            final_table: RouteTable::from_trie(pipeline.fib().original()),
+            final_compressed: pipeline.fib().compressed_table(),
+            dynamic_redundancy: self.shared.epochs.load().replicated,
             elapsed: self.started.elapsed(),
         }
     }
@@ -618,12 +606,35 @@ fn collect_dreds(shared: &Shared) -> Vec<Vec<Route>> {
         .collect()
 }
 
+/// Hands `f` a [`CheckpointView`] of the update plane as it stands
+/// between batches. The pipeline's trie is the one copy of the
+/// original table; its flat form lives only as long as the view.
+fn with_view<R>(
+    pipeline: &CluePipeline,
+    shared: &Shared,
+    index: &RangeIndex,
+    epoch: u64,
+    seq_hw: u64,
+    f: impl FnOnce(&CheckpointView<'_>) -> R,
+) -> R {
+    let table = RouteTable::from_trie(pipeline.fib().original());
+    let compressed = pipeline.fib().compressed_table();
+    let dreds = collect_dreds(shared);
+    f(&CheckpointView {
+        epoch,
+        seq_hw,
+        table: &table,
+        compressed: &compressed,
+        cuts: index.cuts(),
+        dreds: &dreds,
+    })
+}
+
 /// The update plane: drain → coalesce → journal → apply → flush DReds
 /// → publish → (maybe) checkpoint.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn update_loop(
     pipeline: &mut CluePipeline,
-    mirror: &mut RouteTable,
     ingress: &Receiver<(Update, u64)>,
     shared: &Shared,
     index: &RangeIndex,
@@ -654,7 +665,7 @@ fn update_loop(
             }
         }
 
-        let coalesced = coalesce(&batch, mirror);
+        let coalesced = coalesce(&batch, pipeline.fib().original());
         seq_hw = seq_hw.max(tag_hw);
 
         // Write-ahead: the batch hits the journal before the table, so
@@ -679,7 +690,6 @@ fn update_loop(
         let mut batch_ttf_ns = 0.0f64;
         let mut touched = false;
         for &op in &coalesced.ops {
-            mirror.apply(op);
             let (sample, diff) = pipeline.apply_with_diff(op);
             if let Some(ws) = &mut stall {
                 // The TCAM-write-stall seam: stretch the window between
@@ -741,20 +751,10 @@ fn update_loop(
         // has accumulated; the view is consistent because this thread is
         // the only writer and sits between batches.
         if let Some(j) = journal.as_mut() {
-            if j.wants_checkpoint() {
-                let compressed = pipeline.fib().compressed_table();
-                let dreds = collect_dreds(shared);
-                let view = CheckpointView {
-                    epoch,
-                    seq_hw,
-                    table: mirror,
-                    compressed: &compressed,
-                    cuts: index.cuts(),
-                    dreds: &dreds,
-                };
-                if j.checkpoint(&view).is_err() {
-                    shared.stats.count_journal_error();
-                }
+            if j.wants_checkpoint()
+                && with_view(pipeline, shared, index, epoch, seq_hw, |v| j.checkpoint(v)).is_err()
+            {
+                shared.stats.count_journal_error();
             }
         }
     }
@@ -762,17 +762,7 @@ fn update_loop(
     // Clean drain: give the journal a final checkpoint opportunity so a
     // graceful restart replays nothing (crash harnesses override this).
     if let Some(j) = journal.as_mut() {
-        let compressed = pipeline.fib().compressed_table();
-        let dreds = collect_dreds(shared);
-        let view = CheckpointView {
-            epoch,
-            seq_hw,
-            table: mirror,
-            compressed: &compressed,
-            cuts: index.cuts(),
-            dreds: &dreds,
-        };
-        if j.on_drain(&view).is_err() {
+        if with_view(pipeline, shared, index, epoch, seq_hw, |v| j.on_drain(v)).is_err() {
             shared.stats.count_journal_error();
         }
     }

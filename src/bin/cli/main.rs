@@ -139,9 +139,6 @@ commands:
 run `clue <command> --help` semantics: every flag is `--key value`.";
 
 fn main() -> ExitCode {
-    // Register the tiled lookup backend so every `--backend tiled` path
-    // (serve, check, loadgen, replay) can compile planes for it.
-    clue_tile::install();
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("--help") || raw.is_empty() {
         println!("{USAGE}");
