@@ -18,8 +18,6 @@
 //! * [`update_pipeline`] — the whole incremental update path with TTF
 //!   accounting (trie → TCAM → DRed), for both CLUE and CLPL.
 //! * [`theory`] — the Section III-D lower bound `t = (N−1)h + 1`.
-//! * [`threads`] — a real-thread (crossbeam + parking_lot) realization
-//!   of the same pipeline for cross-validation and raw throughput.
 //! * [`crc`] / [`codec`] — the shared CRC-32 and update-batch binary
 //!   codec used by both the `clue-net` wire protocol and the
 //!   `clue-store` write-ahead journal.
@@ -53,7 +51,6 @@ pub mod lookup;
 pub mod metrics;
 pub mod reorder;
 pub mod theory;
-pub mod threads;
 pub mod tile;
 pub mod update_pipeline;
 
@@ -62,5 +59,4 @@ pub use engine::{balanced_mapping, Engine, EngineConfig, EngineReport, Outcome};
 pub use lookup::{build_plane, plane_from_table, BackendKind, LookupPlane};
 pub use reorder::ReorderBuffer;
 pub use theory::{implied_hit_rate, required_hit_rate, worst_case_speedup};
-pub use threads::{run_threaded, ThreadedConfig, ThreadedReport};
 pub use update_pipeline::{mean_ttf, ClplPipeline, CluePipeline, TtfSample};

@@ -12,10 +12,12 @@
 //!
 //! Each per-worker plane is one [`LookupPlane`] backend, selected by
 //! [`BackendKind`]: the cycle-cost TCAM sim (the default, the paper's
-//! hardware model), the flattened multibit trie, or the entropy-style
-//! compressed FIB. Because a plane is built fresh from the post-batch
-//! compressed table and never touched again, every backend gets the
-//! paper's update semantics for free — the epoch swap *is* the update.
+//! hardware model), the flattened multibit trie, the entropy-style
+//! compressed FIB, or the tiled TCAM (published by
+//! [`EpochState::from_tileset`], which rewrites only touched tiles and
+//! shares the rest). Because a published plane is never touched again,
+//! every backend gets the paper's update semantics for free — the epoch
+//! swap *is* the update.
 //!
 //! Partition cuts are **fixed at start-up** (CLUE's even-range split of
 //! the initial compressed table). Updates shift route boundaries, so a

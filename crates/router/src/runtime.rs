@@ -34,7 +34,8 @@
 //!   half-applied table. DRed entries may lag one batch (a hit can
 //!   serve the pre-batch next hop until the flush lands); this mirrors
 //!   the transient staleness any real line card exhibits between a RIB
-//!   change and data-plane convergence.
+//!   change and data-plane convergence. Fills from an epoch older than
+//!   the last flush are refused, so a flushed route never comes back.
 //!
 //! [`run`] stages a fixed packet trace against a fixed update stream —
 //! the harness the integration tests and `clue serve` (file mode) use.
@@ -82,8 +83,8 @@ pub struct RouterConfig {
     /// (None = run clean). See [`FaultPlan`].
     pub faults: Option<FaultPlan>,
     /// Which lookup backend the published epochs compile to (the
-    /// cycle-cost TCAM sim, the flattened multibit trie, or the
-    /// entropy-style compressed FIB).
+    /// cycle-cost TCAM sim, the flattened multibit trie, the
+    /// entropy-style compressed FIB, or the tiled TCAM).
     pub backend: BackendKind,
 }
 
@@ -215,16 +216,26 @@ mod tests {
     fn lookups_without_updates_match_reference() {
         let (fib, packets, _) = setup(2_000, 10_000, 0);
         let reference = onrtc(&fib).to_trie();
-        let report = run(&fib, &packets, &[], &RouterConfig::default());
-        assert!(report.packets_conserved());
-        for (&addr, nh) in packets.iter().zip(&report.results) {
-            assert_eq!(
-                *nh,
-                reference.lookup(addr).map(|(_, &v)| v),
-                "addr {addr:#x}"
-            );
+        // One worker diverts to itself and must still complete.
+        for workers in [4, 1] {
+            let cfg = RouterConfig {
+                workers,
+                ..RouterConfig::default()
+            };
+            let report = run(&fib, &packets, &[], &cfg);
+            assert!(report.packets_conserved());
+            for (&addr, nh) in packets.iter().zip(&report.results) {
+                assert_eq!(
+                    *nh,
+                    reference.lookup(addr).map(|(_, &v)| v),
+                    "addr {addr:#x}, {workers} workers"
+                );
+            }
+            assert_eq!(report.snapshot.epochs, 0);
+            let serviced = &report.snapshot.per_worker_serviced;
+            assert_eq!(serviced.len(), workers);
+            assert!(serviced.iter().all(|&n| n > 0), "idle worker: {serviced:?}");
         }
-        assert_eq!(report.snapshot.epochs, 0);
     }
 
     #[test]

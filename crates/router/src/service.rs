@@ -18,7 +18,7 @@
 //! returned as a [`RouterReport`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -96,6 +96,10 @@ impl SeqWater {
 /// State shared by every router thread.
 struct Shared {
     dreds: Vec<Mutex<LruPrefixCache>>,
+    /// The oldest epoch whose lookups may still fill a DRed. The update
+    /// thread raises it before each flush, so a bounced hit served from
+    /// a pre-flush epoch cannot put a flushed route back.
+    dred_floor: AtomicU64,
     epochs: EpochCell,
     stats: RouterStats,
     journaled: SeqWater,
@@ -240,6 +244,7 @@ impl RouterService {
                     Mutex::new(dred)
                 })
                 .collect(),
+            dred_floor: AtomicU64::new(0),
             epochs: EpochCell::new(first_epoch),
             stats: RouterStats::new(cfg.workers),
             journaled: SeqWater::new(seq_hw0),
@@ -707,7 +712,12 @@ fn update_loop(
                 ts.apply(&diff);
             }
             // DRed sync, the paper's delete-if-present rule: flush every
-            // prefix the diff removed or rewrote from every chip's DRed.
+            // prefix the diff removed or rewrote from every chip's DRed,
+            // and refuse fills from any epoch before the one this batch
+            // publishes.
+            if !diff.deletes.is_empty() || !diff.modifies.is_empty() {
+                shared.dred_floor.store(epoch + 1, AtomicOrdering::Release);
+            }
             for p in diff
                 .deletes
                 .iter()
@@ -809,10 +819,16 @@ fn worker_loop(
                 let matched = epoch.planes[chip].lookup(addr);
                 if bounced {
                     if let Some(route) = matched {
-                        // CLUE fill: every DRed except this chip's own.
+                        // CLUE fill: every DRed except this chip's own. The
+                        // floor is read under the DRed's lock, so a flush
+                        // either sees this insert or this fill sees the
+                        // raised floor.
                         for (i, dred) in shared.dreds.iter().enumerate() {
                             if i != chip {
-                                dred.lock().insert(route);
+                                let mut dred = dred.lock();
+                                if epoch.epoch >= shared.dred_floor.load(AtomicOrdering::Acquire) {
+                                    dred.insert(route);
+                                }
                             }
                         }
                     }

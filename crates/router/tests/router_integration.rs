@@ -12,9 +12,17 @@
 //! 3. **observability** — the final stats snapshot is non-empty and
 //!    internally consistent.
 
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
 use clue_compress::onrtc;
-use clue_fib::{gen::FibGen, Route, RouteTable, Update};
-use clue_router::{run, OverflowPolicy, RouterConfig};
+use clue_fib::{gen::FibGen, NextHop, Prefix, Route, RouteTable, Update};
+use clue_partition::{EvenRangePartition, Indexer};
+use clue_router::{
+    run, CheckpointView, JournalBatch, OverflowPolicy, RouterConfig, RouterService, UpdateJournal,
+};
 use clue_traffic::{PacketGen, UpdateGen};
 
 fn workload() -> (RouteTable, Vec<u32>, Vec<Update>) {
@@ -155,4 +163,133 @@ fn dynamic_redundancy_stays_bounded() {
         report.dynamic_redundancy,
         table
     );
+}
+
+/// The per-chip DRed contents and the compressed table at drain time.
+type Drained = Arc<Mutex<Option<(Vec<Vec<Route>>, RouteTable)>>>;
+
+/// Journals nothing; keeps what the service hands over when it drains.
+struct DrainProbe(Drained);
+
+impl UpdateJournal for DrainProbe {
+    fn append(&mut self, _: &JournalBatch<'_>) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn on_drain(&mut self, view: &CheckpointView<'_>) -> io::Result<()> {
+        *self.0.lock().unwrap() = Some((view.dreds.to_vec(), view.compressed.clone()));
+        Ok(())
+    }
+}
+
+/// Blocks until `done()` holds, failing the test after a generous bound.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn dred_fills_never_resurrect_flushed_routes() {
+    // The paper's delete-if-present rule: once the update plane flushes
+    // a prefix from the DReds, no fill may put its old route back. Hot
+    // lookups homed on one chip with 1-slot FIFOs keep diverting and
+    // bouncing (so bounced hits keep filling the other DReds) while
+    // every hot host route is re-announced round after round; a worker
+    // still on the pre-flush epoch must not re-insert what was flushed.
+    const WORKERS: usize = 4;
+    const ROUNDS: u16 = 20;
+    for seed in [1101u64, 1102] {
+        let fib = FibGen::new(seed).routes(10_000).generate();
+        let compressed = onrtc(&fib);
+        let index = EvenRangePartition::split(&compressed, WORKERS)
+            .index()
+            .clone();
+        let chip0: Vec<u32> = compressed
+            .iter()
+            .map(|r| r.prefix.low())
+            .filter(|&a| index.bucket_of(a) == 0)
+            .collect();
+        let hot: Vec<u32> = chip0
+            .iter()
+            .step_by((chip0.len() / 32).max(1))
+            .take(32)
+            .copied()
+            .collect();
+        // A fresh next hop each round, outside the generated alphabet,
+        // so every update changes forwarding and publishes one epoch.
+        let updates: Vec<Update> = (0..ROUNDS)
+            .flat_map(|round| {
+                hot.iter().map(move |&a| Update::Announce {
+                    prefix: Prefix::new(a, 32),
+                    next_hop: NextHop(100 + round),
+                })
+            })
+            .collect();
+        let total = updates.len() as u64;
+        let probe: Vec<u32> = hot.iter().cycle().take(256).copied().collect();
+
+        let cfg = RouterConfig {
+            workers: WORKERS,
+            fifo_capacity: 1,
+            batch_size: 1,
+            ..RouterConfig::default()
+        };
+        let drained: Drained = Arc::default();
+        let svc = RouterService::start_with_journal(
+            &fib,
+            &cfg,
+            Box::new(DrainProbe(Arc::clone(&drained))),
+        );
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        let _ = svc.lookup_batch(probe.clone());
+                    }
+                });
+            }
+            for &u in &updates {
+                let _ = svc.submit_update(u);
+            }
+            wait_until("every update", || svc.stats().updates_received == total);
+            wait_until("the last epoch", || svc.epoch() == total);
+            stop.store(true, Ordering::Relaxed);
+        });
+
+        let mut expect = fib.clone();
+        for &u in &updates {
+            expect.apply(u);
+        }
+        let reference = onrtc(&expect).to_trie();
+        let settled = svc.lookup_batch(probe.clone());
+        let wrong = probe
+            .iter()
+            .zip(&settled)
+            .filter(|&(&a, nh)| *nh != reference.lookup(a).map(|(_, &v)| v))
+            .count();
+        let report = svc.drain();
+        assert_eq!(report.final_table, expect, "seed {seed}");
+        assert_eq!(
+            wrong, 0,
+            "seed {seed}: settled lookups served flushed routes"
+        );
+
+        let (dreds, live) = drained.lock().unwrap().take().expect("on_drain ran");
+        let stale: Vec<Route> = dreds
+            .iter()
+            .flatten()
+            .filter(|r| live.get(r.prefix) != Some(r.next_hop))
+            .copied()
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "seed {seed}: {} stale DRed routes, first {:?}",
+            stale.len(),
+            &stale[..stale.len().min(4)]
+        );
+    }
 }

@@ -4,7 +4,8 @@
 //! profile a Zipf trace over 32 even partitions, map the eight hottest
 //! onto chip 1, and watch DRed rebalance the load. Also sweeps the DRed
 //! size to show the hit-rate / speedup relationship (Figures 16–17) and
-//! cross-validates the clock model against the real-thread engine.
+//! cross-validates the clock model against the router service's
+//! real-thread engine.
 //!
 //! ```sh
 //! cargo run --release --example burst_traffic
@@ -13,10 +14,10 @@
 use clue::compress::onrtc;
 use clue::core::engine::{Engine, EngineConfig};
 use clue::core::theory::worst_case_speedup;
-use clue::core::threads::{run_threaded, ThreadedConfig};
 use clue::core::DredConfig;
 use clue::fib::gen::FibGen;
 use clue::partition::{EvenRangePartition, Indexer};
+use clue::router::RouterConfig;
 use clue::traffic::workload::{adversarial_mapping, chip_shares, profile};
 use clue::traffic::PacketGen;
 
@@ -99,11 +100,11 @@ fn main() {
     }
 
     // Cross-validate with real threads.
-    let (treport, _) = run_threaded(&fib, &trace[..200_000], ThreadedConfig::default());
+    let treport = clue::router::run(&fib, &trace[..200_000], &[], &RouterConfig::default());
     println!(
-        "\nthreaded engine: {} packets in {:?} ({:.1} Mpps software throughput)",
-        treport.completions,
+        "\nrouter service: {} packets in {:?} ({:.2} Mpps software throughput)",
+        treport.snapshot.completions,
         treport.elapsed,
-        treport.pps() / 1e6
+        treport.snapshot.completions as f64 / treport.elapsed.as_secs_f64() / 1e6
     );
 }

@@ -8,15 +8,15 @@
 
 use clue::compress::{onrtc, CompressedFib};
 use clue::core::engine::{Engine, EngineConfig};
-use clue::core::threads::{run_threaded, ThreadedConfig};
 use clue::core::update_pipeline::CluePipeline;
 use clue::fib::gen::FibGen;
 use clue::fib::{RouteTable, Update};
+use clue::router::RouterConfig;
 use clue::traffic::{PacketGen, UpdateGen, UpdateMix};
 
-/// FIB seed for the hot-drift threaded-engine stress.
+/// FIB seed for the hot-drift router-service stress.
 const SEED_DRIFT_FIB: u64 = 7001;
-/// Packet seed for the hot-drift threaded-engine stress.
+/// Packet seed for the hot-drift router-service stress.
 const SEED_DRIFT_TRACE: u64 = 7002;
 /// FIB seed for the latency-statistics consistency check.
 const SEED_LATENCY_FIB: u64 = 7003;
@@ -35,8 +35,8 @@ const SEED_BUCKETS_FIB: u64 = 7009;
 /// Packet seed for the bucket-granularity comparison.
 const SEED_BUCKETS_TRACE: u64 = 7010;
 
-/// The threaded engine stays correct when the hot set drifts mid-trace
-/// (DRed contents go stale and must turn over).
+/// The router service's thread-per-chip engine stays correct when the
+/// hot set drifts mid-trace (DRed contents go stale and must turn over).
 #[test]
 fn threaded_engine_correct_under_hot_drift() {
     let fib = onrtc(&FibGen::new(SEED_DRIFT_FIB).routes(5_000).generate());
@@ -45,22 +45,23 @@ fn threaded_engine_correct_under_hot_drift() {
         .hot_drift(10_000, 0.5)
         .generate(&fib, 60_000);
     let reference = fib.to_trie();
-    let cfg = ThreadedConfig {
-        chips: 4,
+    let cfg = RouterConfig {
+        workers: 4,
         fifo_capacity: 8, // tiny FIFOs force constant diversion + bouncing
         dred_capacity: 256,
+        ..RouterConfig::default()
     };
-    let (report, results) = run_threaded(&fib, &trace, cfg);
+    let report = clue::router::run(&fib, &trace, &[], &cfg);
     assert_eq!(
-        report.completions,
+        report.snapshot.completions,
         trace.len() as u64,
         "seeds fib={SEED_DRIFT_FIB} trace={SEED_DRIFT_TRACE}"
     );
     assert!(
-        report.diversions > 0,
+        report.snapshot.diversions > 0,
         "seeds fib={SEED_DRIFT_FIB} trace={SEED_DRIFT_TRACE}"
     );
-    for (&addr, nh) in trace.iter().zip(&results) {
+    for (&addr, nh) in trace.iter().zip(&report.results) {
         assert_eq!(
             *nh,
             reference.lookup(addr).map(|(_, &v)| v),
